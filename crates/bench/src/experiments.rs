@@ -298,6 +298,7 @@ fn fig4(config: &BenchConfig) {
         .iter()
         .take(config.fidelity_samples)
         .collect();
+    let mut columns: Vec<Vec<(String, f64)>> = Vec::new();
     for hops in [1usize, 2] {
         let exea_config = if hops == 2 {
             ExeaConfig::second_order()
@@ -337,21 +338,16 @@ fn fig4(config: &BenchConfig) {
             );
         });
         timings.push(("ExEA (batch, parallel)".to_owned(), elapsed.as_secs_f64()));
-        if hops == 1 {
-            for (name, secs) in &timings {
-                table.add_row(vec![name.clone(), format!("{secs:.3}"), String::new()]);
-            }
-        } else {
-            // Merge the second-order timings into the existing rows.
-            let mut merged = Table::new(
-                "Fig. 4 — explanation generation time (s), Dual-AMN on ZH-EN",
-                &["Method", "ZH-EN-2 (s)"],
-            );
-            for (name, secs) in &timings {
-                merged.add_row(vec![name.clone(), format!("{secs:.3}")]);
-            }
-            println!("{merged}");
-        }
+        columns.push(timings);
+    }
+    // Both hop settings time the same methods in the same order: one row per
+    // method, one column per setting.
+    for ((name, one_hop), (_, two_hop)) in columns[0].iter().zip(&columns[1]) {
+        table.add_row(vec![
+            name.clone(),
+            format!("{one_hop:.3}"),
+            format!("{two_hop:.3}"),
+        ]);
     }
     println!("{table}");
 }

@@ -16,11 +16,15 @@
 //!    shards. Minimum-fill applies at the shard level too: more shards, in
 //!    router rank order, whenever the routed shards hold fewer than
 //!    `min(k, n)` rows.
-//! 2. **Scatter** — the routed shards are fanned over the rayon pool in
-//!    fixed shard order; every shard answers its queries with the shared
-//!    engine paths ([`IvfIndex::search`] internals) and returns a
-//!    best-first partial top-k list whose shard-local row ids are remapped
-//!    to global corpus rows.
+//! 2. **Scatter** — one parallel pass over fixed blocks of 128 queries
+//!    (the engines' fan-out tile). Within a block the routed queries are
+//!    grouped by shard, and each picked shard, in ascending shard id,
+//!    answers its sub-batch with the shared engine paths
+//!    ([`IvfIndex::search`] internals): a best-first partial top-k list per
+//!    query, shard-local row ids remapped to global corpus rows. Per-query
+//!    search is a pure function, so a query's partial does not depend on
+//!    which other queries share the sub-batch; a batch of one block (a
+//!    single predict) runs inline on the caller.
 //! 3. **Gather** — per query, the partial lists are folded through one
 //!    [`TopK`] ([`TopK::merge`]): because the
 //!    canonical `(score desc, id asc)` ranking is a strict total order,
@@ -57,6 +61,7 @@ use crate::storage::{
 use crate::topk::{Ranked, TopK};
 use ea_graph::EntityId;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::path::Path;
 
 /// Queries per parallel work block, matching the engines' fan-out tile.
@@ -562,110 +567,94 @@ impl ShardedIndex {
             "query dimension does not match the sharded corpus dimension"
         );
         let route = route_shards.clamp(1, nshards);
-        let router = self.router();
-        let block_starts: Vec<usize> = (0..n_q).step_by(SHARD_ROW_TILE).collect();
-
-        // Route: pure per-query function, fanned over fixed query blocks.
-        // Minimum-fill at the shard level: keep taking shards in router rank
-        // order while fewer than `route` are picked or the picked shards
-        // hold fewer than `cap` rows. Picked sets come out sorted by shard
-        // id so the gather merges in fixed shard order.
-        let routed: Vec<Vec<u32>> = block_starts
-            .par_iter()
-            .map(|&start| {
-                let end = (start + SHARD_ROW_TILE).min(n_q);
-                let mut out = Vec::with_capacity(end - start);
-                let mut scores = Vec::new();
-                let mut ranked = Vec::new();
-                for q in start..end {
-                    router.rank_into(queries.row(q), &mut scores, &mut ranked);
-                    let mut picked: Vec<u32> = Vec::with_capacity(route);
-                    let mut filled = 0usize;
-                    for r in &ranked {
-                        if picked.len() >= route && filled >= cap {
-                            break;
-                        }
-                        let rows_s = self.shards[r.index as usize].rows();
-                        if rows_s == 0 {
-                            continue;
-                        }
-                        picked.push(r.index);
-                        filled += rows_s.min(cap);
-                    }
-                    picked.sort_unstable();
-                    out.push(picked);
-                }
-                out
-            })
-            .collect::<Vec<_>>()
-            .concat();
-
-        // Invert the routing: per shard, the (ascending) queries it serves;
-        // per query, its slot in each picked shard's result block.
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-        let mut slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_q];
-        for (q, picked) in routed.iter().enumerate() {
-            for &s in picked {
-                let pos = per_shard[s as usize].len() as u32;
-                per_shard[s as usize].push(q as u32);
-                slots[q].push((s, pos));
-            }
-        }
-
-        // Scatter: shards in fixed order over the rayon pool; each answers
-        // its routed queries and remaps shard-local rows to global ids.
         let sq8 = match &self.params.ivf.storage {
             IvfListStorage::Flat => None,
             IvfListStorage::Sq8(sq8) => Some(sq8),
         };
-        let shard_ids: Vec<usize> = (0..nshards).collect();
-        let partials: Vec<Vec<Ranked>> = shard_ids
-            .par_iter()
-            .map(|&s| {
-                let shard = &self.shards[s];
-                let queries_s = &per_shard[s];
-                if queries_s.is_empty() {
-                    return Vec::new();
-                }
-                let cap_s = cap.min(shard.rows());
-                let mut data = Vec::with_capacity(queries_s.len() * self.dim);
-                for &q in queries_s {
-                    data.extend_from_slice(queries.row(q as usize));
-                }
-                let sub = EmbeddingTable::from_data(queries_s.len(), self.dim, data);
-                let nprobe = self.params.ivf.resolved_nprobe(shard.nlist());
-                let mut flat = shard.search_flat(&sub, sq8, cap_s, nprobe);
-                debug_assert_eq!(flat.len(), queries_s.len() * cap_s);
-                for entry in &mut flat {
-                    entry.index = shard.global[entry.index as usize];
-                }
-                flat
-            })
-            .collect();
-
-        // Gather: fold each query's partial lists (fixed shard order)
-        // through one selector — bit-identical to a single global top-k
-        // over the union because the ranking is a strict total order.
-        block_starts
+        // One parallel pass over fixed query blocks, each routed, scattered
+        // and gathered on its own; a batch that fits one block runs inline.
+        let block_starts: Vec<usize> = (0..n_q).step_by(SHARD_ROW_TILE).collect();
+        let blocks: Vec<Vec<Ranked>> = block_starts
             .par_iter()
             .map(|&start| {
                 let end = (start + SHARD_ROW_TILE).min(n_q);
-                let mut out = Vec::with_capacity((end - start) * cap);
-                for query_slots in &slots[start..end] {
-                    let mut select = TopK::new(cap);
-                    for &(s, pos) in query_slots {
-                        let cap_s = cap.min(self.shards[s as usize].rows());
-                        let lo = pos as usize * cap_s;
-                        select.merge(&partials[s as usize][lo..lo + cap_s]);
-                    }
-                    let merged = select.into_sorted();
-                    debug_assert_eq!(merged.len(), cap, "shard min-fill must fill every list");
-                    out.extend(merged);
-                }
-                out
+                self.search_block(queries, start..end, cap, route, sq8)
             })
-            .collect::<Vec<_>>()
-            .concat()
+            .collect();
+        blocks.concat()
+    }
+
+    /// Route, scatter and gather for the query rows `rows` (one block):
+    /// `rows.len() * cap` entries, best-first per query.
+    fn search_block(
+        &self,
+        queries: &EmbeddingTable,
+        rows: Range<usize>,
+        cap: usize,
+        route: usize,
+        sq8: Option<&Sq8Params>,
+    ) -> Vec<Ranked> {
+        // Route: pure per-query function. Minimum-fill at the shard level:
+        // keep taking shards in router rank order while fewer than `route`
+        // are picked or the picked shards hold fewer than `cap` rows. Each
+        // shard collects the (ascending) block-local queries it serves.
+        let router = self.router();
+        let mut served: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        let mut scores = Vec::new();
+        let mut ranked = Vec::new();
+        for (local, q) in rows.clone().enumerate() {
+            router.rank_into(queries.row(q), &mut scores, &mut ranked);
+            let (mut picked, mut filled) = (0usize, 0usize);
+            for r in &ranked {
+                if picked >= route && filled >= cap {
+                    break;
+                }
+                let rows_s = self.shards[r.index as usize].rows();
+                if rows_s == 0 {
+                    continue;
+                }
+                served[r.index as usize].push(local as u32);
+                picked += 1;
+                filled += rows_s.min(cap);
+            }
+        }
+
+        // Scatter in ascending shard id: each picked shard answers its
+        // sub-batch, local rows are remapped to global ids, and every
+        // query's partial list is folded into its selector — so each
+        // query merges its partials in fixed shard order. A shard's answer
+        // for a query does not depend on the rest of its sub-batch.
+        let mut selects: Vec<TopK> = rows.clone().map(|_| TopK::new(cap)).collect();
+        for (shard, served) in self.shards.iter().zip(&served) {
+            if served.is_empty() {
+                continue;
+            }
+            let cap_s = cap.min(shard.rows());
+            let mut data = Vec::with_capacity(served.len() * self.dim);
+            for &local in served {
+                data.extend_from_slice(queries.row(rows.start + local as usize));
+            }
+            let sub = EmbeddingTable::from_data(served.len(), self.dim, data);
+            let nprobe = self.params.ivf.resolved_nprobe(shard.nlist());
+            let mut flat = shard.search_flat(&sub, sq8, cap_s, nprobe);
+            debug_assert_eq!(flat.len(), served.len() * cap_s);
+            for entry in &mut flat {
+                entry.index = shard.global[entry.index as usize];
+            }
+            for (&local, partial) in served.iter().zip(flat.chunks_exact(cap_s)) {
+                selects[local as usize].merge(partial);
+            }
+        }
+
+        // Gather: bit-identical to one global top-k over the union of the
+        // partials because the ranking is a strict total order.
+        let mut out = Vec::with_capacity(rows.len() * cap);
+        for select in selects {
+            let merged = select.into_sorted();
+            debug_assert_eq!(merged.len(), cap, "shard min-fill must fill every list");
+            out.extend(merged);
+        }
+        out
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property suite pinning the sharded scatter-gather engine to the
 //! single-container engines.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! 1. **Full routing is bit-identical** — with every shard routed and
 //!    exhaustive per-shard engines, [`ShardedIndex`] returns bit-identical
@@ -18,6 +18,10 @@
 //!    saved per-shard containers answers bit-identically to
 //!    [`ShardedIndex::build`] over the same rows, and open failures name
 //!    the offending container file.
+//! 4. **Batch independence** — each row of a batched search equals the
+//!    search of that row alone, at every routing width and across the
+//!    engine's fixed query blocks: a query's answer does not depend on which
+//!    other queries share its batch.
 
 use ea_embed::{
     save_ivf_streaming, EmbeddingTable, IvfIndex, IvfListStorage, IvfParams, MappedOptions,
@@ -212,6 +216,50 @@ proptest! {
         prop_assert!(b.stored_bytes() > 0);
         prop_assert!(b.backend() == "mmap" || b.backend() == "pread");
         prop_assert!(a.resident_bytes() > b.resident_bytes());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn batched_rows_equal_single_row_searches_at_every_route_width(
+        seed in 0u64..10_000,
+        n_q in 1usize..=300,
+        n in 1usize..60,
+        k in 1usize..8,
+        nshards in 1usize..6,
+        nprobe in 1usize..4,
+        sq8 in 0usize..2,
+        dim in 2usize..8,
+    ) {
+        let (queries, corpus) = normalized_pair(seed, n_q, n, dim);
+        let storage = if sq8 == 1 {
+            IvfListStorage::Sq8(Sq8Params::default())
+        } else {
+            IvfListStorage::Flat
+        };
+        let params = ShardParams {
+            nshards,
+            partition: ShardPartition::Clustered,
+            ivf: IvfParams { nprobe, storage, ..IvfParams::default() },
+            ..ShardParams::default()
+        };
+        let sharded = ShardedIndex::build(&corpus, &params);
+        for route in 1..=sharded.nshards() {
+            let batched = sharded.search_routed(&queries, k, route);
+            prop_assert_eq!(batched.len(), n_q);
+            for (q, row) in batched.iter().enumerate() {
+                let mut single = EmbeddingTable::zeros(1, dim);
+                single.row_mut(0).copy_from_slice(queries.row(q));
+                let alone = sharded.search_routed(&single, k, route);
+                assert_bit_identical(
+                    std::slice::from_ref(row),
+                    &alone,
+                    &format!("route {route}, query {q} of {n_q}"),
+                );
+            }
+        }
     }
 }
 

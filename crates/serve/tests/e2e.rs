@@ -345,6 +345,40 @@ fn overload_rejects_with_retry_hint_and_retry_client_recovers() {
     handle.shutdown();
 }
 
+/// A warmed one-query predict runs on the calling thread at every tier: no
+/// OS thread is spawned for it. The counter itself is shown to work by a
+/// multi-chunk map, which must spawn whenever the pool has workers.
+#[test]
+fn one_query_predict_spawns_no_threads_at_any_tier() {
+    use rayon::prelude::*;
+
+    let engine = engine();
+    for tier in [Tier::Full, Tier::Partial, Tier::Sq8] {
+        for source in [0u32, 1, 7] {
+            let before = rayon::spawned_threads();
+            let got = engine.predict(source, 10, tier);
+            assert_eq!(got.len(), 10, "{tier:?} predict for {source}");
+            assert_eq!(
+                rayon::spawned_threads() - before,
+                0,
+                "{tier:?} predict for {source} spawned threads"
+            );
+        }
+    }
+
+    let before = rayon::spawned_threads();
+    let items: Vec<usize> = (0..4 * rayon::current_num_threads()).collect();
+    let squares: Vec<usize> = items.par_iter().map(|&x| x * x).collect();
+    assert_eq!(squares[3], 9);
+    if rayon::current_num_threads() > 1 {
+        assert!(
+            rayon::spawned_threads() > before,
+            "a multi-chunk map must spawn on a {}-thread pool",
+            rayon::current_num_threads()
+        );
+    }
+}
+
 #[test]
 fn inserts_and_removes_flow_through_full_predict_immediately() {
     let engine = lsm_engine();
